@@ -1,6 +1,7 @@
 """Quickstart: build PyraNet, fine-tune a model, evaluate pass@k.
 
-Runs the whole reproduction at small scale in about a minute::
+Runs the whole reproduction at small scale in under a second (0.7–0.8 s
+wall, serial, on a 2-CPU AMD EPYC host with Python 3.11)::
 
     python examples/quickstart.py
     python examples/quickstart.py --seed 3 --parallel \

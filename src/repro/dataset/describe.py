@@ -16,7 +16,8 @@ from typing import Any, Dict, List, Optional
 
 from ..verilog import ast_nodes as ast
 from ..verilog import measure_module
-from ..verilog.parser import ParseError, parse
+from ..verilog.parser import ParseError
+from ..verilog.unit import ast_for
 
 
 def _port_phrase(port: ast.Port) -> str:
@@ -101,7 +102,7 @@ def describe_module(module: ast.Module) -> str:
 def describe_source(code: str) -> str:
     """Describe source text (all modules)."""
     try:
-        tree = parse(code)
+        tree = ast_for(code)
     except ParseError:
         return ("A Verilog source file (could not be parsed for a "
                 "detailed description).")
@@ -185,7 +186,7 @@ def describe_blocks(code: str) -> List[str]:
     ``[]`` when the source does not parse.
     """
     try:
-        tree = parse(code)
+        tree = ast_for(code)
     except ParseError:
         return []
     blocks: List[str] = []

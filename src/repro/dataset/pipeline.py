@@ -54,6 +54,7 @@ from .layering import LayerReport, assign_layers
 from .ranking import score_code
 from .records import CompileStatus, DatasetEntry, PyraNetDataset
 from ..verilog.formal import verify_code
+from ..verilog.unit import parse_scope
 
 
 @dataclass
@@ -211,9 +212,26 @@ class CurationPipeline:
         raw_files: Sequence[RawFile],
         generated: Sequence[GeneratedSample] = (),
     ) -> "CurationResult":
-        """Curate ``raw_files`` + ``generated`` into a layered dataset."""
-        records = self._source_records(raw_files, generated)
+        """Curate ``raw_files`` + ``generated`` into a layered dataset.
+
+        The whole run shares one parse scope: every stage that needs a
+        file's AST gets the one parsed first (see
+        :mod:`repro.verilog.unit`).
+        """
         obs = resolve(self.obs)
+        with parse_scope(obs):
+            return self._run(raw_files, generated, obs)
+
+    def _run(
+        self,
+        raw_files: Sequence[RawFile],
+        generated: Sequence[GeneratedSample],
+        obs: Observability,
+    ) -> "CurationResult":
+        records = self._source_records(raw_files, generated)
+        # NB: an *empty* cache is falsy (it has __len__), so this must be
+        # an identity check, not ``or``.
+        cache = self.cache if self.cache is not None else ResultCache()
         layer_holder: Dict[str, LayerReport] = {}
         family_holder: Dict[str, FamilyIndex] = {}
         engine = StagedPipeline(
@@ -221,9 +239,7 @@ class CurationPipeline:
             stages=self._stages(layer_holder, family_holder),
             executor=(self.executor if self.executor is not None
                       else ParallelExecutor.serial()),
-            # NB: an *empty* cache is falsy (it has __len__), so this
-            # must be an identity check, not ``or``.
-            cache=self.cache if self.cache is not None else ResultCache(),
+            cache=cache,
             obs=obs,
             resilience=self.resilience,
             checkpoint_extra=(self.seed, self.dedup_threshold,
@@ -255,8 +271,11 @@ class CurationPipeline:
                 family_index.attach_entry(record.index,
                                           record.value.entry_id)
                 if info["role"] == "canonical":
+                    code = record.value.code
                     family_index.attach_descriptions(
-                        record.index, family_description(record.value.code))
+                        record.index, cache.get_or_compute(
+                            "curation/family", code,
+                            lambda: family_description(code)))
         obs.counter("curation.families").inc(family_index.n_families)
         obs.counter("curation.family_variants").inc(
             family_index.n_variants)

@@ -77,6 +77,7 @@ from .pipeline import CurationResult, PipelineReport
 from .ranking import score_many
 from .records import CompileStatus, DatasetEntry, PyraNetDataset
 from ..verilog.formal import verify_code
+from ..verilog.unit import parse_scope, record_parse_counts
 
 PathLike = Union[str, Path]
 
@@ -181,10 +182,20 @@ def _filter_sign_batch(payload: tuple) -> Dict[str, Any]:
 
 def _label_batch(payload: tuple) -> Dict[str, Any]:
     """Phase 3, fused per batch: ``syntax_check → rank_label →
-    formal_verify → describe`` with only plain picklable fields
+    formal_verify → describe``, plus the family descriptions of the
+    batch's canonical members, with only plain picklable fields
     shipped back.  Scoring runs as one vectorised pass per batch
-    (identical per-element results — the parity test pins it)."""
-    batch_index, items = payload
+    (identical per-element results — the parity test pins it).  The
+    batch shares one parse scope, so each file is parsed once; its
+    tallies ride back for the parent's counters."""
+    with parse_scope() as scope:
+        out = _label_items(*payload)
+    out["parse_counts"] = (scope.calls, scope.memo_hits)
+    return out
+
+
+def _label_items(batch_index: int, items: List[tuple],
+                 canonical: Sequence[int]) -> Dict[str, Any]:
     survivors: List[tuple] = []
     n_syntax_dropped = 0
     for index, content, provenance in items:
@@ -214,8 +225,12 @@ def _label_batch(payload: tuple) -> Dict[str, Any]:
             ranking, classify_code(content), description,
             modules, verified, verified_detail,
         ))
+    canonical = set(canonical)
+    families = {item[0]: family_description(item[1]) for item in labeled
+                if item[0] in canonical}
     return {"batch": batch_index, "n_in": len(items),
-            "n_syntax_dropped": n_syntax_dropped, "labeled": labeled}
+            "n_syntax_dropped": n_syntax_dropped, "labeled": labeled,
+            "families": families}
 
 
 def _partition_pairs(arg: tuple) -> tuple:
@@ -543,6 +558,7 @@ class StreamingCurationPipeline:
             "collected": 0, "n_llm": 0, "after_empty": 0,
             "after_module": 0, "after_syntax": 0, "clean": 0,
             "dependency": 0, "resumed_batches": 0,
+            "parse_calls": 0, "parse_memo_hits": 0,
         }
         empty_drops: Dict[str, int] = {}
         module_drops: Dict[str, int] = {}
@@ -587,6 +603,8 @@ class StreamingCurationPipeline:
                         layers, ckpt, state, res, family_index):
                     yield entry
                 span.meta["n_entries"] = counters["after_syntax"]
+            record_parse_counts(obs, counters["parse_calls"],
+                                counters["parse_memo_hits"])
             walls["phase3"] = time.perf_counter() - phase_started
         finally:
             executor.tracer = previous_tracer
@@ -781,7 +799,10 @@ class StreamingCurationPipeline:
                 kept = [item for item in payload["survivors"]
                         if self.keep_variants
                         or item[0] not in duplicate_of]
-                yield (batch_index, kept)
+                canonical = [item[0] for item in kept
+                             if family_index.role_of(item[0])
+                             == "canonical"]
+                yield (batch_index, kept, canonical)
 
         def results() -> Iterator[Dict[str, Any]]:
             # Replayed batches are a contiguous prefix of the stream:
@@ -803,6 +824,9 @@ class StreamingCurationPipeline:
                                            chain([first_live], inputs)):
                 if ckpt is not None:
                     ckpt.record_batch(1, out["batch"], "stream.label", out)
+                calls, memo_hits = out["parse_counts"]
+                counters["parse_calls"] += calls
+                counters["parse_memo_hits"] += memo_hits
                 yield out
 
         position = 0
@@ -839,7 +863,7 @@ class StreamingCurationPipeline:
                     family_index.attach_entry(index, entry.entry_id)
                     if role == "canonical":
                         family_index.attach_descriptions(
-                            index, family_description(content))
+                            index, out["families"][index])
                 position += 1
                 counters["after_syntax"] += 1
                 if status == "clean":

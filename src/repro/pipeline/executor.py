@@ -24,10 +24,16 @@ tracer; process chunks get a picklable :class:`~repro.obs.SpanContext`,
 record into a worker-local tracer, and ship their spans back with the
 results for the parent to absorb — so one merged trace sees inside the
 pool whatever the mode.
+
+Thread-pool work runs in a copy of the submitting thread's
+:mod:`contextvars` context, so context-scoped state — a curation run's
+parse scope (:mod:`repro.verilog.unit`) — is visible inside the pool
+as it is in serial mode.  Process workers start without it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -199,12 +205,17 @@ class ParallelExecutor:
 
         def submit(item: Any, index: int):
             if tracer is None:
-                return pool.submit(_run_chunk, (fn, [item]))
+                runner, payload = _run_chunk, (fn, [item])
+            elif self.mode == "thread":
+                runner = _run_chunk_thread_traced
+                payload = (fn, [item], tracer, parent, index)
+            else:
+                runner = _run_chunk_process_traced
+                payload = (fn, [item], parent, index)
             if self.mode == "thread":
-                return pool.submit(_run_chunk_thread_traced,
-                                   (fn, [item], tracer, parent, index))
-            return pool.submit(_run_chunk_process_traced,
-                               (fn, [item], parent, index))
+                return pool.submit(_run_in_context, (
+                    contextvars.copy_context(), runner, payload))
+            return pool.submit(runner, payload)
 
         def resolve(future: Any) -> Any:
             out = future.result()
@@ -301,6 +312,12 @@ class ParallelExecutor:
             runner = _run_chunk_process_traced
             payloads = [(fn, chunk, parent, index)
                         for index, chunk in enumerate(chunks)]
+        if self.mode == "thread":
+            # Each chunk gets its own copy of the caller's context (one
+            # Context cannot be entered by two threads at once).
+            payloads = [(contextvars.copy_context(), runner, payload)
+                        for payload in payloads]
+            runner = _run_in_context
         with pool_cls(max_workers=workers) as pool:
             chunk_results = list(pool.map(runner, payloads))
         if tracer is not None and self.mode == "process":
@@ -310,6 +327,13 @@ class ParallelExecutor:
                 unwrapped.append(results)
             chunk_results = unwrapped
         return [result for chunk in chunk_results for result in chunk]
+
+
+def _run_in_context(payload: tuple) -> Any:
+    """``runner(args)`` inside a context copied in the submitting thread
+    (thread pools only)."""
+    context, runner, args = payload
+    return context.run(runner, args)
 
 
 def _run_chunk(payload: tuple) -> List[Any]:

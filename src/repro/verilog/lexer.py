@@ -14,8 +14,11 @@ the full Verilog expression grammar including sized/based literals.
 from __future__ import annotations
 
 import enum
+import functools
+import re
+import sys
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 
 class TokenKind(enum.Enum):
@@ -44,16 +47,6 @@ KEYWORDS = frozenset(
     disable wait fork join deassign force release
     """.split()
 )
-
-#: Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    "<<<", ">>>", "===", "!==",
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "**",
-    "~&", "~|", "~^", "^~", "->", "+:", "-:",
-    "+", "-", "*", "/", "%", "<", ">", "!", "~", "&", "|", "^",
-    "(", ")", "[", "]", "{", "}", ",", ";", ":", "?", "=", ".",
-    "@", "#", "$",
-]
 
 
 @dataclass(frozen=True)
@@ -95,230 +88,180 @@ class LexError(Exception):
         self.col = col
 
 
+def _unicode_classes() -> Tuple[str, str]:
+    """Escaped non-ASCII members of two character classes ``re`` has no
+    name for: ``str.isalnum`` characters that are neither letters nor
+    decimal digits (they must not start an identifier), and the subset
+    of those that ``str.isdigit`` accepts (they start and continue a
+    number)."""
+    numeric = [ch for ch in map(chr, range(0x80, sys.maxunicode + 1))
+               if ch.isalnum() and not ch.isalpha() and not ch.isdecimal()]
+    digits = [ch for ch in numeric if ch.isdigit()]
+    return re.escape("".join(numeric)), re.escape("".join(digits))
+
+
+@functools.lru_cache(maxsize=None)
+def _master() -> "re.Pattern[str]":
+    """The one compiled regex every token comes from.
+
+    A match is any trivia (whitespace, comments, ``(* ... *)``
+    attributes) followed by one token group.  Group order decides ties
+    on a first character: an unterminated comment or attribute before
+    the ``/`` and ``(`` operators, ``eof`` only at the end, and
+    ``error`` (any single character) last, so :func:`re.finditer`
+    walks the source without gaps.  Built on first use: the Unicode
+    classes take a scan of the code space.
+    """
+    numeric, digits = _unicode_classes()
+    digit = rf"[\d{digits}]"
+    digit_ = rf"[\d{digits}_]"
+    based = r"'[sS]?[bodhBODH][ \t]*[\w?]+"
+    return re.compile(rf"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*[\s\S]*?\*/ | \(\*(?!\))[\s\S]*?\*\) )*
+    (?: (?P<ident>[^\W\d{numeric}][\w$]*)
+      | (?P<unclosed>/\* | \(\*(?!\)))
+      | (?P<op><<< | >>> | === | !== | << | >> | <= | >= | == | != | && | \|\|
+               | \*\* | ~& | ~\| | ~\^ | \^~ | -> | \+: | -:
+               | [-+*/%<>!~&|^()\[\]{{}},;:?=.@\#])
+      | (?P<number>{digit}{digit_}*(?:\.{digit}{digit_}*)?(?:[eE][+-]?{digit}+)?
+                   (?:[ \t]*{based})?)
+      | (?P<based>{based})
+      | (?P<system>\$\w*)
+      | (?P<escaped>\\[^ \t\r\n]*)
+      | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+      | (?P<eof>\Z)
+      | (?P<error>[\s\S]) )
+    """, re.VERBOSE)
+
+
+#: After a number, the start of a based-literal suffix the master regex
+#: could not complete (``8'x``): the lexer reports it there.
+_SUFFIX_START = re.compile(r"[ \t]*'")
+_STRING_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+
+
+def _based_error(src: str, quote: int) -> str:
+    """Why the based literal whose quote is at ``quote`` is malformed."""
+    index = quote + 1
+    if src[index:index + 1] in ("s", "S"):
+        index += 1
+    base = src[index:index + 1]
+    if base and base not in "bodhBODH":
+        return f"invalid base character {base!r}"
+    return "based literal missing digits"
+
+
 class Lexer:
-    """Single-pass maximal-munch tokenizer.
+    """Maximal-munch tokenizer driven by one compiled master regex.
 
     Usage::
 
         tokens = Lexer(source).tokenize()
+
+    Identifier and number classes follow ``str.isalpha``,
+    ``str.isalnum`` and ``str.isdigit``, non-ASCII characters included.
+    Line and column come from counting the newlines each match spans.
     """
 
     def __init__(self, source: str) -> None:
         self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
+        self._stream = self._scan()
+        #: Where the stream ended: its EOF token, or the LexError it
+        #: raised; later calls repeat it.
+        self._eof: Optional[Token] = None
+        self._error: Optional[LexError] = None
 
-    # -- character helpers -------------------------------------------------
+    def _fail(self, message: str, line: int, col: int) -> LexError:
+        self._error = LexError(message, line, col)
+        return self._error
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._src):
-            return ""
-        return self._src[index]
-
-    def _advance(self, count: int = 1) -> str:
-        """Consume ``count`` characters, tracking line/column."""
-        taken = self._src[self._pos : self._pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += len(taken)
-        return taken
-
-    # -- skipping ----------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace, comments, and synthesis attributes."""
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexError(
-                            "unterminated block comment", start_line, start_col
-                        )
-                    self._advance()
-                self._advance(2)
-            elif ch == "(" and self._peek(1) == "*":
-                # Synthesis attribute (* ... *): skipped entirely.  Guard
-                # against "(*)" which is a sensitivity list, not an attribute.
-                if self._peek(2) == ")":
-                    return
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == ")"):
-                    if not self._peek():
-                        raise LexError(
-                            "unterminated attribute", start_line, start_col
-                        )
-                    self._advance()
-                self._advance(2)
-            else:
+    def _scan(self) -> Iterator[Token]:
+        src = self._src
+        line, line_start = 1, 0
+        keywords = KEYWORDS
+        for match in _master().finditer(src):
+            group = match.lastgroup
+            start = match.start(group)
+            if start != match.start():
+                # Leading trivia: count the newlines it spans.
+                newlines = src.count("\n", match.start(), start)
+                if newlines:
+                    line += newlines
+                    line_start = src.rindex("\n", 0, start) + 1
+            col = start - line_start + 1
+            text = match.group(group)
+            if group == "ident":
+                yield Token(TokenKind.KEYWORD if text in keywords
+                            else TokenKind.IDENT, text, line, col)
+            elif group == "op":
+                yield Token(TokenKind.OPERATOR, text, line, col)
+            elif group == "number":
+                if "'" not in text:
+                    suffix = _SUFFIX_START.match(src, match.end())
+                    if suffix is not None:
+                        quote = suffix.end() - 1
+                        raise self._fail(_based_error(src, quote), line,
+                                         quote - line_start + 1)
+                yield Token(TokenKind.NUMBER, text, line, col)
+            elif group == "based":
+                yield Token(TokenKind.NUMBER, text, line, col)
+            elif group == "system":
+                yield Token(TokenKind.OPERATOR if text == "$"
+                            else TokenKind.SYSTEM_IDENT, text, line, col)
+            elif group == "escaped":
+                yield Token(TokenKind.IDENT, text, line, col)
+            elif group == "string":
+                body = text[1:-1]
+                if "\\" in body:
+                    body = _STRING_ESCAPE.sub(
+                        lambda esc: _ESCAPES.get(esc[1], esc[1]), body)
+                yield Token(TokenKind.STRING, body, line, col)
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = start + text.rindex("\n") + 1
+            elif group == "eof":
+                yield Token(TokenKind.EOF, "", line, col)
                 return
-
-    # -- token scanners ----------------------------------------------------
-
-    def _scan_ident(self) -> Token:
-        line, col = self._line, self._col
-        start = self._pos
-        if self._peek() == "\\":
-            # Escaped identifier: backslash up to whitespace.
-            self._advance()
-            while self._peek() and self._peek() not in " \t\r\n":
-                self._advance()
-            text = self._src[start:self._pos]
-            return Token(TokenKind.IDENT, text, line, col)
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_$"):
-            self._advance()
-        text = self._src[start:self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _scan_system_ident(self) -> Token:
-        line, col = self._line, self._col
-        start = self._pos
-        self._advance()  # the '$'
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self._src[start:self._pos]
-        if text == "$":
-            return Token(TokenKind.OPERATOR, "$", line, col)
-        return Token(TokenKind.SYSTEM_IDENT, text, line, col)
-
-    def _scan_number(self) -> Token:
-        """Scan decimal, real, and based literals.
-
-        A based literal may be preceded by a size (``8'hFF``); the size,
-        when present, has already been consumed as the leading digits.
-        """
-        line, col = self._line, self._col
-        start = self._pos
-        while self._peek() and (self._peek().isdigit() or self._peek() == "_"):
-            self._advance()
-        # Real numbers: 3.14, 1e9, 2.5e-3
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self._peek() and (self._peek().isdigit() or self._peek() == "_"):
-                self._advance()
-        if self._peek() and self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) and self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        # Based literal continuation: optional whitespace then 'b/'h/...
-        save = self._pos, self._line, self._col
-        while self._peek() and self._peek() in " \t":
-            self._advance()
-        if self._peek() == "'":
-            self._scan_base_suffix()
-        else:
-            self._pos, self._line, self._col = save
-        text = self._src[start:self._pos]
-        return Token(TokenKind.NUMBER, text, line, col)
-
-    def _scan_base_suffix(self) -> None:
-        """Consume ``'[sS]?[bodhBODH]<digits>`` after a quote."""
-        line, col = self._line, self._col
-        self._advance()  # the quote
-        if self._peek() and self._peek() in "sS":
-            self._advance()
-        base = self._peek()
-        if base not in "bodhBODH":
-            raise LexError(f"invalid base character {base!r}", line, col)
-        self._advance()
-        while self._peek() and self._peek() in " \t":
-            self._advance()
-        digits_start = self._pos
-        while self._peek() and (
-            self._peek().isalnum() or self._peek() in "_?xXzZ"
-        ):
-            self._advance()
-        if self._pos == digits_start:
-            raise LexError("based literal missing digits", line, col)
-
-    def _scan_unsized_based(self) -> Token:
-        """Scan a based literal with no size prefix, e.g. ``'b0``, ``'hFF``."""
-        line, col = self._line, self._col
-        start = self._pos
-        self._scan_base_suffix()
-        return Token(TokenKind.NUMBER, self._src[start:self._pos], line, col)
-
-    def _scan_string(self) -> Token:
-        line, col = self._line, self._col
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", line, col)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._advance()
-                chars.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(esc, esc))
+            elif group == "unclosed":
+                raise self._fail("unterminated block comment" if text == "/*"
+                                 else "unterminated attribute", line, col)
+            elif text == "'":
+                raise self._fail(_based_error(src, start), line, col)
+            elif text == '"':
+                raise self._fail("unterminated string literal", line, col)
             else:
-                chars.append(self._advance())
-        return Token(TokenKind.STRING, "".join(chars), line, col)
-
-    def _scan_operator(self) -> Token:
-        line, col = self._line, self._col
-        for op in _OPERATORS:
-            if self._src.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, line, col)
-        raise LexError(f"unexpected character {self._peek()!r}", line, col)
+                raise self._fail(f"unexpected character {text!r}", line, col)
 
     # -- public API ----------------------------------------------------------
 
     def next_token(self) -> Token:
         """Return the next token, or an EOF token at end of input."""
-        self._skip_trivia()
-        ch = self._peek()
-        if not ch:
-            return Token(TokenKind.EOF, "", self._line, self._col)
-        if ch.isalpha() or ch == "_" or ch == "\\":
-            return self._scan_ident()
-        if ch == "$":
-            return self._scan_system_ident()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == "'":
-            return self._scan_unsized_based()
-        if ch == '"':
-            return self._scan_string()
-        return self._scan_operator()
+        if self._error is not None:
+            raise self._error
+        if self._eof is not None:
+            return self._eof
+        token = next(self._stream)
+        if token.kind is TokenKind.EOF:
+            self._eof = token
+        return token
 
     def tokenize(self) -> List[Token]:
         """Tokenize the whole input, returning a list ending with EOF."""
-        tokens: List[Token] = []
-        while True:
-            tok = self.next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return tokens
+        if self._error is not None:
+            raise self._error
+        if self._eof is not None:
+            return [self._eof]
+        tokens = list(self._stream)
+        self._eof = tokens[-1]
+        return tokens
 
     def __iter__(self) -> Iterator[Token]:
         while True:
-            tok = self.next_token()
-            yield tok
-            if tok.kind is TokenKind.EOF:
+            token = self.next_token()
+            yield token
+            if token.kind is TokenKind.EOF:
                 return
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import ast_nodes as ast
-from .parser import ParseError, parse
+from .parser import ParseError
+from .unit import ast_for
 
 
 @dataclass
@@ -287,7 +288,7 @@ def measure(source: Union[str, ast.SourceFile, ast.Module]) -> StructuralMetrics
         return measure_module(source)
     if isinstance(source, str):
         lines = sum(1 for line in source.splitlines() if line.strip())
-        tree = parse(source)
+        tree = ast_for(source)
         total = StructuralMetrics()
         for module in tree.modules:
             total = total.merge(measure_module(module))

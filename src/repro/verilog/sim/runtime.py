@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Union
 
 from .. import ast_nodes as ast
-from ..parser import ParseError, parse
+from ..parser import ParseError
+from ..unit import ast_for
 from .design import Design, ElaborationError, Signal
 from .elaborate import elaborate
 from .interp import SimulationError, StopSimulation
@@ -52,7 +53,7 @@ def build_library(sources: SourceLike) -> Dict[str, ast.Module]:
                     f"\"{result.missing_includes[0]}\""
                 )
             text = result.text
-        for module in parse(text).modules:
+        for module in ast_for(text).modules:
             if module.name in library:
                 raise ElaborationError(
                     f"module {module.name!r} defined more than once"

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import ast_nodes as ast
-from .parser import ParseError, parse
+from .parser import ParseError
+from .unit import ast_for
 
 
 @dataclass(frozen=True)
@@ -492,7 +493,7 @@ def lint(source: str) -> StyleReport:
     _rule_comment_density(lines, report.violations)
     _rule_indent_consistency(lines, report.violations)
     try:
-        tree = parse(source)
+        tree = ast_for(source)
     except ParseError as exc:
         report.parse_failed = True
         report.violations.append(Violation(

@@ -22,7 +22,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
 
 from . import ast_nodes as ast
 from .lexer import LexError
-from .parser import ParseError, parse
+from .parser import ParseError
+from .unit import ast_for
 from .preprocessor import PreprocessorError, preprocess
 
 #: Identifiers every Verilog context understands without declaration.
@@ -443,7 +444,7 @@ def check(
             )
         )
     try:
-        tree = parse(pre.text)
+        tree = ast_for(pre.text)
     except (ParseError, LexError) as exc:
         line = getattr(exc, "line", 0)
         column = getattr(exc, "col", 0)

@@ -6,7 +6,8 @@ twice over an unchanged corpus with a shared ``--cache-dir`` style
 :class:`DiskCache` must serve *every* cached stage lookup of the second
 run from disk — ``cache.<name>.disk.hits > 0`` and zero cache misses,
 which is exactly "zero syntax-check / rank / describe / simulation
-recompute" because a miss is what triggers a compute.
+recompute" because a miss is what triggers a compute — and, counted
+directly, zero ``verilog.parse.calls``.
 """
 
 from repro.corpus import GitHubScrapeSimulator
@@ -62,6 +63,13 @@ class TestCurationWarmRun:
         assert warm["cache.curation.misses"] == 0
         assert (warm["cache.curation.hits"]
                 == warm["cache.curation.disk.hits"])
+
+        # The work itself, not only the cache: the cold run parsed each
+        # distinct text once, the warm run parsed nothing at all (family
+        # descriptions included).
+        assert cold["verilog.parse.calls"] > 0
+        assert warm["verilog.parse.calls"] == 0
+        assert warm["verilog.parse.memo_hits"] == 0
 
         # And the cache cannot have changed any decision.
         assert ([e.code for e in warm_result.dataset]
